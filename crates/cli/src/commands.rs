@@ -2,9 +2,9 @@
 
 use crate::args::{Args, CliError};
 use nnq_core::{
-    metric_knn, partitioned_knn, partitioned_knn_batch_with_block, partitioned_radius,
-    within_radius_with, FnRefiner, JoinOrder, KernelMode, MbrRefiner, NnOptions, NnSearch,
-    PartitionedStats, PrefetchPolicy, TuneController, TuneMode,
+    metric_knn, par_mixed_batch_dedup, partitioned_knn, partitioned_mixed_batch,
+    partitioned_radius, within_radius_with, BatchQuery, FnRefiner, JoinOrder, KernelMode,
+    MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy, TuneController, TuneMode,
 };
 use nnq_geom::{Metric, Point, Rect, Segment};
 use nnq_rtree::{
@@ -633,26 +633,17 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             prefetch: controller.prefetch_policy().unwrap_or(prefetch),
             ..NnOptions::with_kernel(kernel)
         };
-        if threads == 1 {
-            let search = NnSearch::with_options(&tree, opts);
-            let mut cursor = nnq_core::QueryCursor::new();
-            for q in qs {
-                search.query_refined_with(&mut cursor, q, k, &refiner)?;
-            }
-        } else {
-            let (_, bstats) = nnq_core::par_knn_batch_with_block(
-                &tree,
-                qs,
-                k,
-                opts,
-                &refiner,
-                threads,
-                JoinOrder::AsGiven,
-                controller.block_override(),
-            )
-            .map_err(|e| CliError::Run(e.to_string()))?;
-            controller.observe_batch(&bstats);
-        }
+        let (_, bstats) = par_mixed_batch_dedup(
+            &tree,
+            &knn_requests(qs, k),
+            opts,
+            &refiner,
+            threads,
+            JoinOrder::AsGiven,
+            controller.block_override(),
+        )
+        .map_err(|e| CliError::Run(e.to_string()))?;
+        controller.observe_batch(&bstats);
         controller.observe_tree(&tree);
     }
     let elapsed = start.elapsed();
@@ -686,6 +677,11 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "{report}")?;
     }
     Ok(())
+}
+
+/// `qs` as a batch of kNN requests.
+fn knn_requests(qs: &[Point<2>], k: usize) -> Vec<BatchQuery<2>> {
+    qs.iter().map(|&q| BatchQuery::Knn { q, k }).collect()
 }
 
 /// The `--partitions` branch of `nnq bench`: the work-stealing batch
@@ -737,17 +733,21 @@ fn bench_partitioned(
             prefetch: controller.prefetch_policy().unwrap_or(prefetch),
             ..NnOptions::with_kernel(kernel)
         };
-        let (_, ps) = partitioned_knn_batch_with_block(
+        let (answers, bstats) = partitioned_mixed_batch(
             &tree,
-            qs,
-            k,
+            &knn_requests(qs, k),
             opts,
             &refiner,
             threads,
+            false,
+            JoinOrder::AsGiven,
             controller.block_override(),
         )
         .map_err(|e| CliError::Run(e.to_string()))?;
-        pstats.accumulate(&ps);
+        for (_, ps) in &answers {
+            pstats.accumulate(ps);
+        }
+        controller.observe_batch(&bstats);
         controller.observe_partitioned(&tree);
     }
     let elapsed = start.elapsed();

@@ -6,20 +6,22 @@
 //! backends are internally synchronized for reads (`&self` queries), so
 //! workers share one tree.
 //!
-//! Scheduling is work-stealing over a shared atomic cursor rather than
-//! static chunking: every worker claims a small block of queries at a
-//! time, so one expensive query (huge `k`, far-off point, dense region)
-//! stalls only the worker that claimed it while the rest of the batch
-//! drains through the other workers. The batch finishes in roughly
+//! Every batch in the crate — the two executors here, the partitioned
+//! batch, and each scatter round over partitions — runs through one
+//! claim loop, [`work_steal`]: work-stealing over a shared atomic cursor
+//! rather than static chunking. Every worker claims a small block of items
+//! at a time, so one expensive query (huge `k`, far-off point, dense
+//! region) stalls only the worker that claimed it while the rest of the
+//! batch drains through the other workers. The batch finishes in roughly
 //! `max(most expensive single query, total work / threads)` instead of
 //! `total work / threads + slowest static chunk`.
 //!
-//! Determinism: each query is computed independently from the shared tree
+//! Determinism: each item is computed independently from the shared tree
 //! snapshot, so results are bit-identical to `threads = 1` regardless of
 //! which worker claims which block.
 //!
-//! Scheduling order is orthogonal to result order: [`par_knn_batch_ordered`]
-//! can walk the batch along a Hilbert curve (mirroring
+//! Scheduling order is orthogonal to result order: a batch can walk its
+//! items along a Hilbert curve (mirroring
 //! [`JoinOrder::Hilbert`](crate::join::JoinOrder)) so consecutive claimed
 //! queries touch overlapping subtrees — warmer node cache, tighter prefetch
 //! reuse — while results still come back in submission order.
@@ -32,7 +34,6 @@ use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::Point;
 use nnq_rtree::TreeAccess;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -68,20 +69,19 @@ impl<const D: usize> BatchQuery<D> {
     }
 }
 
-/// How a [`par_knn_batch_stats`] run distributed its queries.
+/// How a batch run distributed its queries.
 #[derive(Clone, Debug, Default)]
 pub struct BatchStats {
-    /// Workers spawned (1 for the sequential fast path).
+    /// Workers that ran (1 for the inline path).
     pub threads: usize,
     /// Queries claimed per cursor increment.
     pub block: usize,
-    /// Queries each worker ended up executing. Sums to the batch length;
-    /// under load imbalance the worker stuck on an expensive query claims
-    /// fewer, which is the observable signature of stealing.
+    /// Queries each worker ended up executing. Sums to `executed`; under
+    /// load imbalance the worker stuck on an expensive query claims fewer,
+    /// which is the observable signature of stealing.
     pub per_worker_queries: Vec<usize>,
-    /// Queries that actually ran a traversal. Equal to the batch length
-    /// for the plain executors; smaller under
-    /// [`par_mixed_batch_dedup`] when duplicates were merged
+    /// Queries that actually ran a traversal: the batch length, or the
+    /// number of unique requests when duplicates were merged
     /// (`len - executed` is the number of answers fanned out for free).
     pub executed: usize,
 }
@@ -89,16 +89,177 @@ pub struct BatchStats {
 /// Block size for the shared cursor: small enough that an expensive query
 /// can be compensated by the other workers (at most one block is claimed
 /// blind), large enough that the atomic increment amortizes.
-pub(crate) fn block_size(len: usize, threads: usize) -> usize {
+fn block_size(len: usize, threads: usize) -> usize {
     (len / (threads * 8)).clamp(1, 32)
+}
+
+/// The claim loop behind every batch: runs `run(scratch, i)` for each item
+/// `i < len` on up to `threads` workers claiming blocks of positions from
+/// a shared cursor, and returns the results in item order.
+///
+/// * `block_override` fixes the claim block (`None` uses [`block_size`]);
+///   any block size yields the same results, only steal granularity moves.
+/// * `schedule`, when given, is the claim order: a permutation of
+///   `0..len` that workers walk front to back. Results still land at each
+///   item's own slot, so the schedule never shows in the output.
+/// * `scratch` builds one per-worker scratch value (e.g. a
+///   [`QueryCursor`]) reused across every item the worker claims.
+///
+/// With one worker (`threads == 1`, or at most one item) the loop runs
+/// inline on the caller's thread, spawning nothing. A worker panic is
+/// resumed on the caller's thread.
+pub(crate) fn work_steal<S, T, I, F>(
+    len: usize,
+    threads: usize,
+    block_override: Option<usize>,
+    schedule: Option<&[usize]>,
+    scratch: I,
+    run: F,
+) -> Result<(Vec<T>, BatchStats)>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> Result<T> + Sync,
+{
+    assert!(threads > 0, "need at least one worker");
+    let item = |pos: usize| schedule.map_or(pos, |order| order[pos]);
+    let workers = threads.min(len);
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    let stats = if workers <= 1 {
+        let mut s = scratch();
+        for pos in 0..len {
+            let i = item(pos);
+            slots[i] = Some(run(&mut s, i)?);
+        }
+        BatchStats {
+            threads: 1,
+            block: len,
+            per_worker_queries: vec![len],
+            executed: len,
+        }
+    } else {
+        let block = block_override.map_or_else(|| block_size(len, workers), |b| b.max(1));
+        let next = AtomicUsize::new(0);
+        type WorkerOut<T> = Result<Vec<(usize, T)>>;
+        let worker_outs: Vec<WorkerOut<T>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| -> WorkerOut<T> {
+                        let mut s = scratch();
+                        let mut out = Vec::new();
+                        loop {
+                            let start = next.fetch_add(block, Ordering::Relaxed);
+                            if start >= len {
+                                break;
+                            }
+                            for pos in start..(start + block).min(len) {
+                                let i = item(pos);
+                                out.push((i, run(&mut s, i)?));
+                            }
+                        }
+                        Ok(out)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        let mut per_worker_queries = Vec::with_capacity(workers);
+        for worker_out in worker_outs {
+            let pairs = worker_out?;
+            per_worker_queries.push(pairs.len());
+            for (i, result) in pairs {
+                slots[i] = Some(result);
+            }
+        }
+        BatchStats {
+            threads: workers,
+            block,
+            per_worker_queries,
+            executed: len,
+        }
+    };
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.expect("every item claimed exactly once"))
+        .collect();
+    Ok((results, stats))
+}
+
+/// The one [`BatchQuery`] executor: optionally merges duplicate requests
+/// (identical [`canonical key`](BatchQuery::canonical_key) bytes) so each
+/// unique request runs once, claims the unique requests in `order`
+/// through [`work_steal`], and fans every answer back out to its
+/// duplicates' submission-order slots.
+///
+/// Merging is sound because each request is a pure function of
+/// `(tree, query)` for the duration of the batch, so a duplicate's answer
+/// — stats included — is bit-identical to what its own execution would
+/// produce. The unique list keeps first-submission order, so with no
+/// duplicates the execution (schedule included) is exactly the unmerged
+/// one. The returned [`BatchStats`] describe the merged execution.
+pub(crate) fn run_requests<const D: usize, S, T, I, F>(
+    requests: &[BatchQuery<D>],
+    dedup: bool,
+    threads: usize,
+    order: JoinOrder,
+    block_override: Option<usize>,
+    scratch: I,
+    run: F,
+) -> Result<(Vec<T>, BatchStats)>
+where
+    T: Clone + Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &BatchQuery<D>) -> Result<T> + Sync,
+{
+    let mut slot_of: Vec<usize> = Vec::new();
+    let mut unique: Vec<BatchQuery<D>> = Vec::new();
+    if dedup {
+        let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
+        for req in requests {
+            let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
+                unique.push(*req);
+                unique.len() - 1
+            });
+            slot_of.push(slot);
+        }
+    }
+    let batch = if dedup && unique.len() < requests.len() {
+        &unique[..]
+    } else {
+        requests
+    };
+    let schedule = match order {
+        JoinOrder::AsGiven => None,
+        JoinOrder::Hilbert => {
+            let points: Vec<Point<D>> = batch.iter().map(|r| *r.point()).collect();
+            Some(hilbert_schedule(&points))
+        }
+    };
+    let (results, stats) = work_steal(
+        batch.len(),
+        threads,
+        block_override,
+        schedule.as_deref(),
+        scratch,
+        |s, i| run(s, &batch[i]),
+    )?;
+    if batch.len() == requests.len() {
+        return Ok((results, stats));
+    }
+    let fanned = slot_of.iter().map(|&slot| results[slot].clone()).collect();
+    Ok((fanned, stats))
 }
 
 /// Runs a kNN query for every point in `queries`, fanning the batch out
 /// over `threads` worker threads that claim blocks from a shared cursor.
 /// Results are returned in query order and are bit-identical to
-/// `threads = 1`.
-///
-/// `threads = 1` degenerates to a sequential loop (no threads spawned).
+/// `threads = 1`, which runs inline (no threads spawned).
 ///
 /// ```
 /// use nnq_core::{par_knn_batch, NnOptions, MbrRefiner};
@@ -127,352 +288,33 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    par_knn_batch_stats(tree, queries, k, opts, refiner, threads).map(|(results, _)| results)
-}
-
-/// [`par_knn_batch`] with an explicit claim order. `JoinOrder::Hilbert`
-/// walks the batch along a Hilbert curve over the query points (reusing the
-/// [`knn_join`](crate::join::knn_join) schedule), so queries claimed
-/// back-to-back land in overlapping subtrees and share cached / prefetched
-/// nodes. Results are still returned in submission order and are
-/// bit-identical to the sequential as-given run — the schedule only changes
-/// *when* each query executes, never *what* it computes.
-pub fn par_knn_batch_ordered<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-) -> Result<Vec<Vec<Neighbor<D>>>>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    run_batch(tree, queries, k, opts, refiner, threads, order, None).map(|(results, _)| results)
-}
-
-/// [`par_knn_batch`] plus the scheduling telemetry: how many queries each
-/// worker claimed off the shared cursor.
-pub fn par_knn_batch_stats<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    run_batch(
-        tree,
-        queries,
-        k,
-        opts,
-        refiner,
-        threads,
-        JoinOrder::AsGiven,
-        None,
-    )
-}
-
-/// [`par_knn_batch_stats`] with an explicit claim-block override for the
-/// shared cursor (`None` uses the [`block_size`] heuristic). This is the
-/// self-tuning controller's batch knob: any block size yields bit-identical
-/// results because every query is computed independently and results are
-/// reassembled in submission order — only claim granularity (and so steal
-/// behavior under imbalance) changes.
-#[allow(clippy::too_many_arguments)]
-pub fn par_knn_batch_with_block<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    run_batch(
-        tree,
-        queries,
-        k,
-        opts,
-        refiner,
-        threads,
-        order,
-        block_override,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    assert!(threads > 0, "need at least one worker");
-    if queries.is_empty() {
-        return Ok((
-            Vec::new(),
-            BatchStats {
-                threads: 1,
-                block: 0,
-                per_worker_queries: vec![0],
-                executed: 0,
-            },
-        ));
-    }
-    // The claim schedule: a permutation of query indices. Workers walk it
-    // front to back, but every result lands at its submission-order slot, so
-    // the schedule is invisible in the output.
-    let schedule: Vec<usize> = match order {
-        JoinOrder::AsGiven => (0..queries.len()).collect(),
-        JoinOrder::Hilbert => hilbert_schedule(queries),
+    let search = NnSearch::with_options(tree, opts);
+    let run = |cursor: &mut QueryCursor<D>, i: usize| {
+        let (found, _) = search.query_refined_with(cursor, &queries[i], k, refiner)?;
+        Ok(found)
     };
-
-    if threads == 1 || queries.len() == 1 {
-        let search = NnSearch::with_options(tree, opts);
-        let mut cursor = QueryCursor::new();
-        let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); queries.len()];
-        for &idx in &schedule {
-            let (found, _) = search.query_refined_with(&mut cursor, &queries[idx], k, refiner)?;
-            results[idx] = found;
-        }
-        let stats = BatchStats {
-            threads: 1,
-            block: queries.len(),
-            per_worker_queries: vec![queries.len()],
-            executed: queries.len(),
-        };
-        return Ok((results, stats));
-    }
-
-    let len = queries.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-
-    // Each worker returns its (index, result) pairs; the batch result is
-    // assembled in query order afterwards, so the scheduler's claim order
-    // never shows through.
-    type WorkerOut<const D: usize> = Result<Vec<(usize, Vec<Neighbor<D>>)>>;
-    let worker_outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                scope.spawn(move || -> WorkerOut<D> {
-                    let search = NnSearch::with_options(tree, opts);
-                    // One cursor per worker: all per-query scratch (ABL
-                    // buffers, selection scratch, candidate heap) is
-                    // reused across every query the worker claims.
-                    let mut cursor = QueryCursor::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + block).min(len);
-                        for &i in &schedule[start..end] {
-                            let (found, _) =
-                                search.query_refined_with(&mut cursor, &queries[i], k, refiner)?;
-                            out.push((i, found));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); len];
-    let mut per_worker_queries = Vec::with_capacity(threads);
-    for worker_out in worker_outs {
-        let pairs = worker_out?;
-        per_worker_queries.push(pairs.len());
-        for (i, found) in pairs {
-            results[i] = found;
-        }
-    }
-    let stats = BatchStats {
-        threads,
-        block,
-        per_worker_queries,
-        executed: len,
-    };
-    Ok((results, stats))
+    work_steal(queries.len(), threads, None, None, QueryCursor::new, run).map(|(found, _)| found)
 }
 
 /// Runs a mixed batch of kNN and radius queries (the `nnq serve` drain
-/// path), fanning the batch out over `threads` workers claiming blocks
-/// from a shared cursor, optionally in Hilbert claim order. Returns, in
-/// submission order, each request's results **and** its per-query
-/// [`SearchStats`] — the serving layer reports `nodes_visited` back to
-/// the client as the query's logical page reads, the paper's cost unit.
-///
-/// Every request is computed independently from the shared tree (or
-/// snapshot), so results and per-query stats are bit-identical to a
-/// sequential loop regardless of thread count, claim-block size, or
-/// schedule — the same contract as [`par_knn_batch`].
-#[allow(clippy::type_complexity)]
-pub fn par_mixed_batch<const D: usize, T, R>(
-    tree: &T,
-    requests: &[BatchQuery<D>],
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    assert!(threads > 0, "need at least one worker");
-    if requests.is_empty() {
-        return Ok((
-            Vec::new(),
-            BatchStats {
-                threads: 1,
-                block: 0,
-                per_worker_queries: vec![0],
-                executed: 0,
-            },
-        ));
-    }
-    let schedule: Vec<usize> = match order {
-        JoinOrder::AsGiven => (0..requests.len()).collect(),
-        JoinOrder::Hilbert => {
-            let points: Vec<Point<D>> = requests.iter().map(|r| *r.point()).collect();
-            hilbert_schedule(&points)
-        }
-    };
-
-    // One request, one worker-local execution. Radius queries take the
-    // standalone traversal (no cursor state), kNN reuses the worker's
-    // cursor scratch; both are deterministic per request.
-    let execute = |cursor: &mut QueryCursor<D>,
-                   search: &NnSearch<'_, D, T>,
-                   req: &BatchQuery<D>|
-     -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        match *req {
-            BatchQuery::Knn { q, k } => search.query_refined_with(cursor, &q, k, refiner),
-            BatchQuery::Radius { q, radius } => {
-                within_radius_with(tree, &q, radius, refiner, opts.kernel)
-            }
-        }
-    };
-
-    if threads == 1 || requests.len() == 1 {
-        let search = NnSearch::with_options(tree, opts);
-        let mut cursor = QueryCursor::new();
-        let mut results: Vec<(Vec<Neighbor<D>>, SearchStats)> =
-            vec![(Vec::new(), SearchStats::default()); requests.len()];
-        for &idx in &schedule {
-            results[idx] = execute(&mut cursor, &search, &requests[idx])?;
-        }
-        let stats = BatchStats {
-            threads: 1,
-            block: requests.len(),
-            per_worker_queries: vec![requests.len()],
-            executed: requests.len(),
-        };
-        return Ok((results, stats));
-    }
-
-    let len = requests.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-
-    type MixedOut<const D: usize> = Result<Vec<(usize, (Vec<Neighbor<D>>, SearchStats))>>;
-    let worker_outs: Vec<MixedOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                let execute = &execute;
-                scope.spawn(move || -> MixedOut<D> {
-                    let search = NnSearch::with_options(tree, opts);
-                    let mut cursor = QueryCursor::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + block).min(len);
-                        for &i in &schedule[start..end] {
-                            out.push((i, execute(&mut cursor, &search, &requests[i])?));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<(Vec<Neighbor<D>>, SearchStats)> =
-        vec![(Vec::new(), SearchStats::default()); len];
-    let mut per_worker_queries = Vec::with_capacity(threads);
-    for worker_out in worker_outs {
-        let pairs = worker_out?;
-        per_worker_queries.push(pairs.len());
-        for (i, found) in pairs {
-            results[i] = found;
-        }
-    }
-    let stats = BatchStats {
-        threads,
-        block,
-        per_worker_queries,
-        executed: len,
-    };
-    Ok((results, stats))
-}
-
-/// [`par_mixed_batch`] with **intra-batch deduplication**: requests whose
+/// path) with **intra-batch deduplication**: requests whose
 /// [`canonical key`](BatchQuery::canonical_key) bytes are identical
 /// execute exactly once, and the single answer (results *and*
 /// [`SearchStats`]) fans out to every duplicate's submission-order slot.
 /// Under Zipf-skewed serving traffic a micro-batch routinely carries the
 /// same hot query many times; there is no reason to traverse for it more
-/// than once per batch.
+/// than once per batch. Near-duplicates are never merged: the canonical
+/// key encodes `f64` parameters as raw bits, so queries one ulp apart stay
+/// distinct.
 ///
-/// Correctness rides on the same determinism contract as
-/// [`par_mixed_batch`]: each request is a pure function of `(tree, query)`
-/// for the duration of the batch, so a duplicate's answer is bit-identical
-/// to what its own execution would have produced — including the stats.
-/// Near-duplicates are never merged: the canonical key encodes `f64`
-/// parameters as raw bits, so queries one ulp apart stay distinct.
+/// The unique requests fan out over `threads` workers claiming blocks
+/// from a shared cursor (`block_override` fixes the block — the
+/// self-tuning controller's batch knob), walked in `order`. Returns, in
+/// submission order, each request's results **and** its per-query
+/// [`SearchStats`] — the serving layer reports `nodes_visited` back to
+/// the client as the query's logical page reads, the paper's cost unit.
+/// Both are bit-identical to a sequential loop over every request,
+/// regardless of thread count, claim-block size, or schedule.
 ///
 /// The returned [`BatchStats`] describe the *deduplicated* execution:
 /// `executed` (and the sum of `per_worker_queries`) is the number of
@@ -492,36 +334,25 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    // Map each request to the first occurrence of its canonical key. The
-    // unique list keeps first-submission order, so with no duplicates the
-    // execution (schedule included) is exactly par_mixed_batch's.
-    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
-    let mut unique: Vec<BatchQuery<D>> = Vec::with_capacity(requests.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let key = req.canonical_key();
-        match first_of.entry(key) {
-            Entry::Occupied(e) => slot_of.push(*e.get()),
-            Entry::Vacant(e) => {
-                let slot = unique.len();
-                e.insert(slot);
-                unique.push(*req);
-                slot_of.push(slot);
-            }
+    // Radius queries take the standalone traversal (no cursor state), kNN
+    // reuses the worker's cursor scratch; both are deterministic per
+    // request.
+    let search = NnSearch::with_options(tree, opts);
+    let run = |cursor: &mut QueryCursor<D>, req: &BatchQuery<D>| match *req {
+        BatchQuery::Knn { q, k } => search.query_refined_with(cursor, &q, k, refiner),
+        BatchQuery::Radius { q, radius } => {
+            within_radius_with(tree, &q, radius, refiner, opts.kernel)
         }
-    }
-
-    let (unique_results, bstats) =
-        par_mixed_batch(tree, &unique, opts, refiner, threads, order, block_override)?;
-
-    if unique.len() == requests.len() {
-        return Ok((unique_results, bstats));
-    }
-    let results = slot_of
-        .iter()
-        .map(|&slot| unique_results[slot].clone())
-        .collect();
-    Ok((results, bstats))
+    };
+    run_requests(
+        requests,
+        true,
+        threads,
+        order,
+        block_override,
+        QueryCursor::new,
+        run,
+    )
 }
 
 #[cfg(test)]
@@ -586,17 +417,23 @@ mod tests {
         assert!(out.iter().all(|r| r.len() == 2));
     }
 
+    fn knn_requests(queries: &[Point<2>], k: usize) -> Vec<BatchQuery<2>> {
+        queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect()
+    }
+
     #[test]
     fn scheduler_accounts_for_every_query() {
         let (tree, queries) = tree_and_queries(2_000, 300);
+        let reqs = knn_requests(&queries, 4);
         for threads in [1, 2, 4, 8] {
-            let (out, stats) = par_knn_batch_stats(
+            let (out, stats) = par_mixed_batch_dedup(
                 &tree,
-                &queries,
-                4,
+                &reqs,
                 NnOptions::default(),
                 &MbrRefiner,
                 threads,
+                JoinOrder::AsGiven,
+                None,
             )
             .unwrap();
             assert_eq!(out.len(), queries.len());
@@ -616,11 +453,11 @@ mod tests {
     fn block_override_is_bit_identical() {
         let (tree, queries) = tree_and_queries(3_000, 250);
         let seq = par_knn_batch(&tree, &queries, 5, NnOptions::default(), &MbrRefiner, 1).unwrap();
+        let reqs = knn_requests(&queries, 5);
         for block in [1, 3, 17, 64, 1000] {
-            let (out, stats) = par_knn_batch_with_block(
+            let (out, stats) = par_mixed_batch_dedup(
                 &tree,
-                &queries,
-                5,
+                &reqs,
                 NnOptions::default(),
                 &MbrRefiner,
                 4,
@@ -629,7 +466,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(stats.block, block, "override not applied");
-            for (a, b) in out.iter().zip(&seq) {
+            for ((a, _), b) in out.iter().zip(&seq) {
                 assert_eq!(
                     a.iter().map(|n| n.dist_sq).collect::<Vec<_>>(),
                     b.iter().map(|n| n.dist_sq).collect::<Vec<_>>(),
@@ -645,6 +482,76 @@ mod tests {
         assert_eq!(block_size(1_000, 4), 31);
         assert_eq!(block_size(100_000, 8), 32);
         assert_eq!(block_size(2, 8), 1);
+    }
+
+    #[test]
+    fn claim_loop_fills_every_slot_in_item_order() {
+        let len = 257;
+        let mut reversed: Vec<usize> = (0..len).collect();
+        reversed.reverse();
+        for (threads, block, schedule) in [
+            (1, None, None),
+            (4, None, None),
+            (3, Some(1), Some(&reversed[..])),
+            (8, Some(40), Some(&reversed[..])),
+        ] {
+            let (out, stats) = work_steal(
+                len,
+                threads,
+                block,
+                schedule,
+                || 0usize,
+                |claimed, i| {
+                    *claimed += 1;
+                    Ok(i * i)
+                },
+            )
+            .unwrap();
+            assert_eq!(out, (0..len).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(stats.threads, threads);
+            assert_eq!(stats.executed, len);
+            assert_eq!(stats.per_worker_queries.iter().sum::<usize>(), len);
+        }
+    }
+
+    #[test]
+    fn claim_loop_runs_single_items_inline() {
+        let caller = std::thread::current().id();
+        for len in [0, 1] {
+            let (out, stats) = work_steal(
+                len,
+                8,
+                None,
+                None,
+                || (),
+                |_, _| Ok(std::thread::current().id()),
+            )
+            .unwrap();
+            assert!(out.iter().all(|&id| id == caller), "len={len} spawned");
+            assert_eq!(stats.threads, 1);
+            assert_eq!(stats.per_worker_queries, vec![len]);
+        }
+    }
+
+    #[test]
+    fn claim_loop_reports_a_failing_item() {
+        for threads in [1, 4] {
+            let out = work_steal(
+                100,
+                threads,
+                None,
+                None,
+                || (),
+                |_, i| {
+                    if i == 57 {
+                        Err(crate::Error::Invalid("item 57".into()))
+                    } else {
+                        Ok(i)
+                    }
+                },
+            );
+            assert!(out.is_err(), "threads={threads}");
+        }
     }
 
     fn mixed_requests(queries: &[Point<2>]) -> Vec<BatchQuery<2>> {
@@ -667,11 +574,54 @@ mod tests {
             .collect()
     }
 
+    /// Each request run as its own one-request batch: nothing to merge,
+    /// nothing to schedule — the reference the batched runs must match.
+    fn one_at_a_time(
+        tree: &MemRTree<2>,
+        reqs: &[BatchQuery<2>],
+    ) -> Vec<(Vec<Neighbor<2>>, SearchStats)> {
+        reqs.iter()
+            .map(|req| {
+                let (mut out, _) = par_mixed_batch_dedup(
+                    tree,
+                    std::slice::from_ref(req),
+                    NnOptions::default(),
+                    &MbrRefiner,
+                    1,
+                    JoinOrder::AsGiven,
+                    None,
+                )
+                .unwrap();
+                out.pop().unwrap()
+            })
+            .collect()
+    }
+
+    fn assert_same_answers(
+        got: &[(Vec<Neighbor<2>>, SearchStats)],
+        want: &[(Vec<Neighbor<2>>, SearchStats)],
+        what: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, ((a, sa), (b, sb))) in got.iter().zip(want).enumerate() {
+            assert_eq!(sa, sb, "stats diverge at request {i} ({what})");
+            assert_eq!(a.len(), b.len(), "request {i} ({what})");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.record, y.record, "request {i} ({what})");
+                assert_eq!(
+                    x.dist_sq.to_bits(),
+                    y.dist_sq.to_bits(),
+                    "request {i} ({what})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn mixed_batch_bit_identical_across_threads_blocks_and_order() {
         let (tree, queries) = tree_and_queries(4_000, 180);
         let reqs = mixed_requests(&queries);
-        let (seq, _) = par_mixed_batch(
+        let (seq, _) = par_mixed_batch_dedup(
             &tree,
             &reqs,
             NnOptions::default(),
@@ -688,7 +638,7 @@ mod tests {
             (8, JoinOrder::Hilbert, Some(1)),
             (3, JoinOrder::AsGiven, Some(64)),
         ] {
-            let (par, bstats) = par_mixed_batch(
+            let (par, bstats) = par_mixed_batch_dedup(
                 &tree,
                 &reqs,
                 NnOptions::default(),
@@ -699,14 +649,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), reqs.len());
-            for (i, ((a, sa), (b, sb))) in par.iter().zip(&seq).enumerate() {
-                assert_eq!(sa, sb, "stats diverge at request {i} (threads={threads})");
-                assert_eq!(a.len(), b.len(), "request {i}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.record, y.record, "request {i}");
-                    assert_eq!(x.dist_sq.to_bits(), y.dist_sq.to_bits(), "request {i}");
-                }
-            }
+            assert_same_answers(&par, &seq, &format!("threads={threads}"));
         }
     }
 
@@ -714,7 +657,7 @@ mod tests {
     fn mixed_batch_matches_standalone_queries() {
         let (tree, queries) = tree_and_queries(2_000, 60);
         let reqs = mixed_requests(&queries);
-        let (got, _) = par_mixed_batch(
+        let (got, _) = par_mixed_batch_dedup(
             &tree,
             &reqs,
             NnOptions::default(),
@@ -752,17 +695,7 @@ mod tests {
             reqs.push(*req);
             reqs.push(base[i % 5]);
         }
-        let (plain, pstats) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
-        assert_eq!(pstats.executed, reqs.len(), "plain executor never merges");
+        let plain = one_at_a_time(&tree, &reqs);
         for threads in [1, 4] {
             let (deduped, dstats) = par_mixed_batch_dedup(
                 &tree,
@@ -781,17 +714,9 @@ mod tests {
                 base.len(),
                 "threads={threads}"
             );
-            // Responses land in admission order, bit-identical to the
-            // run that executed every duplicate.
-            assert_eq!(deduped.len(), reqs.len());
-            for (i, ((a, sa), (b, sb))) in deduped.iter().zip(&plain).enumerate() {
-                assert_eq!(sa, sb, "stats diverge at request {i}");
-                assert_eq!(a.len(), b.len(), "request {i}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.record, y.record, "request {i}");
-                    assert_eq!(x.dist_sq.to_bits(), y.dist_sq.to_bits(), "request {i}");
-                }
-            }
+            // Responses land in admission order, bit-identical to
+            // executing every duplicate.
+            assert_same_answers(&deduped, &plain, &format!("threads={threads}"));
         }
     }
 
@@ -832,16 +757,7 @@ mod tests {
     fn dedup_with_no_duplicates_is_bit_identical_to_plain() {
         let (tree, queries) = tree_and_queries(2_000, 80);
         let reqs = mixed_requests(&queries);
-        let (plain, _) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
+        let plain = one_at_a_time(&tree, &reqs);
         let (deduped, stats) = par_mixed_batch_dedup(
             &tree,
             &reqs,
@@ -853,20 +769,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(stats.executed, reqs.len());
-        for ((a, sa), (b, sb)) in deduped.iter().zip(&plain) {
-            assert_eq!(sa, sb);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.record, y.record);
-                assert_eq!(x.dist_sq.to_bits(), y.dist_sq.to_bits());
-            }
-        }
+        assert_same_answers(&deduped, &plain, "no duplicates");
     }
 
     #[test]
     fn mixed_batch_empty_is_fine() {
         let (tree, _) = tree_and_queries(100, 0);
-        let (out, _) = par_mixed_batch(
+        let (out, _) = par_mixed_batch_dedup(
             &tree,
             &[],
             NnOptions::default(),

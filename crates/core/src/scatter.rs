@@ -47,15 +47,15 @@
 
 use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::heap::KnnHeap;
+use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
-use crate::parallel::block_size;
+use crate::parallel::{run_requests, work_steal, BatchQuery, BatchStats};
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, Point, Rect};
 use nnq_rtree::{PartitionedTree, TreeAccess};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The k-th-distance bound shared across partition searches: an
 /// `AtomicU64` holding `f64` bits, tightened monotonically.
@@ -211,7 +211,13 @@ where
         stats.rounds += 1;
         stats.partitions_visited += round.len() as u64;
 
-        let outs = search_round(parts, round, q, k, opts, refiner, threads, bound)?;
+        // The round's partitions, each pre-pruned by the sampled bound,
+        // claimed one at a time; output comes back in schedule order.
+        let run = |cursor: &mut QueryCursor<D>, i: usize| {
+            NnSearch::with_options(&parts[round[i].part], opts)
+                .query_refined_bounded(cursor, q, k, refiner, bound)
+        };
+        let (outs, _) = work_steal(round.len(), threads, Some(1), None, QueryCursor::new, run)?;
         // Gather: merge in schedule order — deterministic regardless of
         // which worker finished first.
         for (found, part_stats) in outs {
@@ -229,64 +235,6 @@ where
     }
     stats.partitions_pruned = sched.len() as u64 - stats.partitions_visited;
     Ok((heap.drain_sorted(), stats))
-}
-
-type PartOut<const D: usize> = (Vec<Neighbor<D>>, SearchStats);
-
-/// Searches one round's partitions, each pre-pruned by `bound`, with up
-/// to `threads` workers. Output is in round (schedule) order.
-#[allow(clippy::too_many_arguments)]
-fn search_round<const D: usize, T, R>(
-    parts: &[T],
-    round: &[Sched],
-    q: &Point<D>,
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    bound: f64,
-) -> Result<Vec<PartOut<D>>>
-where
-    T: TreeAccess<D> + Sync,
-    R: Refiner<D> + Sync,
-{
-    let workers = threads.min(round.len());
-    if workers <= 1 {
-        let mut cursor = QueryCursor::new();
-        let mut outs = Vec::with_capacity(round.len());
-        for s in round {
-            let search = NnSearch::with_options(&parts[s.part], opts);
-            outs.push(search.query_refined_bounded(&mut cursor, q, k, refiner, bound)?);
-        }
-        return Ok(outs);
-    }
-    let slots: Vec<Mutex<Option<Result<PartOut<D>>>>> =
-        (0..round.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut qc = QueryCursor::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= round.len() {
-                        break;
-                    }
-                    let search = NnSearch::with_options(&parts[round[i].part], opts);
-                    *slots[i].lock().expect("slot lock poisoned") =
-                        Some(search.query_refined_bounded(&mut qc, q, k, refiner, bound));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// Radius query over `parts`: partitions whose MINDIST-to-MBR exceeds
@@ -330,49 +278,10 @@ where
         ..PartitionedStats::default()
     };
 
-    let workers = threads.min(visit.len().max(1));
-    let outs: Vec<PartOut<D>> = if workers <= 1 {
-        let mut outs = Vec::with_capacity(visit.len());
-        for s in &visit {
-            outs.push(within_radius_with(
-                &parts[s.part],
-                q,
-                radius,
-                refiner,
-                opts.kernel,
-            )?);
-        }
-        outs
-    } else {
-        let slots: Vec<Mutex<Option<Result<PartOut<D>>>>> =
-            (0..visit.len()).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= visit.len() {
-                        break;
-                    }
-                    *slots[i].lock().expect("slot lock poisoned") = Some(within_radius_with(
-                        &parts[visit[i].part],
-                        q,
-                        radius,
-                        refiner,
-                        opts.kernel,
-                    ));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("worker filled every slot")
-            })
-            .collect::<Result<_>>()?
+    let run = |_: &mut (), i: usize| {
+        within_radius_with(&parts[visit[i].part], q, radius, refiner, opts.kernel)
     };
+    let (outs, _) = work_steal(visit.len(), threads, Some(1), None, || (), run)?;
 
     let mut merged = Vec::new();
     for (found, part_stats) in outs {
@@ -415,106 +324,41 @@ pub fn partitioned_radius<const D: usize, R: Refiner<D> + Sync>(
     scatter_radius(tree.partitions(), &mbrs, q, radius, refiner, opts, threads)
 }
 
-/// A batch of kNN queries over a [`PartitionedTree`], fanned out with the
-/// same work-stealing scheme as [`par_knn_batch`](crate::par_knn_batch):
-/// workers claim query blocks off a shared cursor, and **each query's
-/// scatter runs sequentially** (partition parallelism and batch
-/// parallelism would fight over the same cores). Results come back in
-/// submission order; the aggregate [`PartitionedStats`] sums the
-/// per-query stats in submission order, so both are bit-identical to
-/// `threads = 1`.
-pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
+/// A mixed batch of kNN and radius requests over a [`PartitionedTree`]
+/// — the partitioned form of
+/// [`par_mixed_batch_dedup`](crate::par_mixed_batch_dedup), through the
+/// same executor: optional intra-batch deduplication (`dedup`), claim
+/// order (`order`) and claim-block override (`block_override`, the
+/// self-tuning controller's batch knob). Workers claim requests off a
+/// shared cursor and **each request's scatter runs sequentially**
+/// (partition parallelism and batch parallelism would fight over the same
+/// cores).
+///
+/// Returns, in submission order, each request's hits and its
+/// [`PartitionedStats`], plus the executor's [`BatchStats`]. Every
+/// request is computed independently, so hits and stats are bit-identical
+/// to calling [`partitioned_knn`] / [`partitioned_radius`] per request
+/// with one thread, for any thread count, block size, or order.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub fn partitioned_mixed_batch<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
-    queries: &[Point<D>],
-    k: usize,
+    requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
     threads: usize,
-) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
-    partitioned_knn_batch_with_block(tree, queries, k, opts, refiner, threads, None)
-}
-
-/// [`partitioned_knn_batch`] with an explicit claim-block override
-/// (`None` uses the shared [`block_size`] heuristic) — the self-tuning
-/// controller's batch knob for partitioned trees. Bit-identical for any
-/// block size, for the same reason as
-/// [`par_knn_batch_with_block`](crate::par_knn_batch_with_block).
-pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
-    tree: &PartitionedTree<D>,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
+    dedup: bool,
+    order: JoinOrder,
     block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
-    assert!(threads > 0, "need at least one worker");
+) -> Result<(Vec<(Vec<Neighbor<D>>, PartitionedStats)>, BatchStats)> {
     let mbrs: Vec<Rect<D>> = tree.manifest().parts.iter().map(|p| p.mbr).collect();
     let parts = tree.partitions();
-    let mut totals = PartitionedStats::default();
-
-    if threads == 1 || queries.len() <= 1 {
-        let mut results = Vec::with_capacity(queries.len());
-        for q in queries {
-            let (found, stats) = scatter_knn(parts, &mbrs, q, k, opts, refiner, 1)?;
-            totals.accumulate(&stats);
-            results.push(found);
+    let run = |_: &mut (), req: &BatchQuery<D>| match *req {
+        BatchQuery::Knn { q, k } => scatter_knn(parts, &mbrs, &q, k, opts, refiner, 1),
+        BatchQuery::Radius { q, radius } => {
+            scatter_radius(parts, &mbrs, &q, radius, refiner, opts, 1)
         }
-        return Ok((results, totals));
-    }
-
-    let len = queries.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-    type WorkerOut<const D: usize> = Result<Vec<(usize, Vec<Neighbor<D>>, PartitionedStats)>>;
-    let worker_outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let mbrs = &mbrs;
-                scope.spawn(move || -> WorkerOut<D> {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        for (i, q) in queries
-                            .iter()
-                            .enumerate()
-                            .take((start + block).min(len))
-                            .skip(start)
-                        {
-                            let (found, stats) = scatter_knn(parts, mbrs, q, k, opts, refiner, 1)?;
-                            out.push((i, found, stats));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); len];
-    let mut per_query: Vec<Option<PartitionedStats>> = vec![None; len];
-    for worker_out in worker_outs {
-        for (i, found, stats) in worker_out? {
-            results[i] = found;
-            per_query[i] = Some(stats);
-        }
-    }
-    // Sum in submission order — integer counters commute, but keeping one
-    // canonical order costs nothing and keeps the contract self-evident.
-    for stats in per_query.into_iter().flatten() {
-        totals.accumulate(&stats);
-    }
-    Ok((results, totals))
+    };
+    run_requests(requests, dedup, threads, order, block_override, || (), run)
 }
 
 #[cfg(test)]
@@ -704,30 +548,51 @@ mod tests {
     fn batch_matches_individual_queries_and_is_thread_invariant() {
         let items = points(3000, 43);
         let tree = build(items, 4);
-        let queries: Vec<Point<2>> = (0..30)
-            .map(|i| Point::new([(i * 97 % 1000) as f64, (i * 389 % 1000) as f64]))
+        let mut reqs: Vec<BatchQuery<2>> = (0..30)
+            .map(|i| {
+                let q = Point::new([(i * 97 % 1000) as f64, (i * 389 % 1000) as f64]);
+                if i % 4 == 3 {
+                    BatchQuery::Radius { q, radius: 40.0 }
+                } else {
+                    BatchQuery::Knn { q, k: 5 }
+                }
+            })
             .collect();
-        let (seq, seq_stats) =
-            partitioned_knn_batch(&tree, &queries, 5, NnOptions::default(), &MbrRefiner, 1)
-                .unwrap();
+        reqs.extend_from_within(..6);
         // Individual queries agree.
-        for (q, want) in queries.iter().zip(&seq) {
-            let (got, _) =
-                partitioned_knn(&tree, q, 5, NnOptions::default(), &MbrRefiner, 1).unwrap();
-            assert_eq!(&got, want);
-        }
-        for threads in [2, 8] {
-            let (par, par_stats) = partitioned_knn_batch(
+        let want: Vec<(Vec<Neighbor<2>>, PartitionedStats)> = reqs
+            .iter()
+            .map(|req| match *req {
+                BatchQuery::Knn { q, k } => {
+                    partitioned_knn(&tree, &q, k, NnOptions::default(), &MbrRefiner, 1)
+                }
+                BatchQuery::Radius { q, radius } => {
+                    partitioned_radius(&tree, &q, radius, NnOptions::default(), &MbrRefiner, 1)
+                }
+            })
+            .collect::<Result<_>>()
+            .unwrap();
+        for (threads, dedup, order, block) in [
+            (1, false, JoinOrder::AsGiven, None),
+            (2, false, JoinOrder::Hilbert, None),
+            (8, true, JoinOrder::AsGiven, Some(1)),
+            (3, true, JoinOrder::Hilbert, Some(7)),
+        ] {
+            let (got, bstats) = partitioned_mixed_batch(
                 &tree,
-                &queries,
-                5,
+                &reqs,
                 NnOptions::default(),
                 &MbrRefiner,
                 threads,
+                dedup,
+                order,
+                block,
             )
             .unwrap();
-            assert_eq!(seq, par, "threads={threads}");
-            assert_eq!(seq_stats, par_stats, "threads={threads}");
+            assert_eq!(got, want, "threads={threads} dedup={dedup}");
+            let unique = if dedup { 30 } else { reqs.len() };
+            assert_eq!(bstats.executed, unique, "threads={threads} dedup={dedup}");
+            assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), unique);
         }
     }
 

@@ -2,7 +2,9 @@
 //! back in submission order, bit-identical to the sequential as-given run,
 //! no matter how the batch is shaped or how many workers claim from it.
 
-use nnq_core::{par_knn_batch, par_knn_batch_ordered, JoinOrder, MbrRefiner, Neighbor, NnOptions};
+use nnq_core::{
+    par_knn_batch, par_mixed_batch_dedup, BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions,
+};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
@@ -48,14 +50,42 @@ fn clustered_queries(seed: u64) -> Vec<Point<2>> {
             rng.random_range(0.0..100.0),
         ]));
     }
-    // A run of identical points: every Hilbert key ties, so the schedule's
-    // tie-breaking must still map each result to its own slot.
+    // A run of identical points: every Hilbert key ties, and the executor
+    // merges them, so each duplicate's slot must get the shared answer.
     for _ in 0..16 {
         queries.push(Point::new([50.0, 50.0]));
+    }
+    // A run of distinct points one ulp apart: their Hilbert keys tie too,
+    // but they are not merged, so the schedule's tie-breaking must still
+    // map each result to its own slot.
+    for i in 0..16u64 {
+        queries.push(Point::new([f64::from_bits(25.0f64.to_bits() + i), 75.0]));
     }
     // Reverse the whole batch so submission order fights spatial order.
     queries.reverse();
     queries
+}
+
+/// The batch executor over kNN requests, claimed in `order`.
+fn knn_batch_ordered(
+    tree: &MemRTree<2>,
+    queries: &[Point<2>],
+    k: usize,
+    threads: usize,
+    order: JoinOrder,
+) -> Vec<Vec<Neighbor<2>>> {
+    let requests: Vec<BatchQuery<2>> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
+    let (answers, _) = par_mixed_batch_dedup(
+        tree,
+        &requests,
+        NnOptions::default(),
+        &MbrRefiner,
+        threads,
+        order,
+        None,
+    )
+    .unwrap();
+    answers.into_iter().map(|(found, _)| found).collect()
 }
 
 fn dists(found: &[Vec<Neighbor<2>>]) -> Vec<Vec<f64>> {
@@ -75,16 +105,7 @@ fn records(found: &[Vec<Neighbor<2>>]) -> Vec<Vec<RecordId>> {
 fn assert_matches_sequential(tree: &MemRTree<2>, queries: &[Point<2>], k: usize) {
     let seq = par_knn_batch(tree, queries, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
     for threads in [1, 2, 8] {
-        let hil = par_knn_batch_ordered(
-            tree,
-            queries,
-            k,
-            NnOptions::default(),
-            &MbrRefiner,
-            threads,
-            JoinOrder::Hilbert,
-        )
-        .unwrap();
+        let hil = knn_batch_ordered(tree, queries, k, threads, JoinOrder::Hilbert);
         assert_eq!(hil.len(), queries.len(), "threads={threads}");
         assert_eq!(dists(&hil), dists(&seq), "threads={threads}");
         assert_eq!(records(&hil), records(&seq), "threads={threads}");
@@ -111,16 +132,7 @@ fn results_come_back_in_submission_order() {
     // every slot against an independently computed single-query batch.
     let tree = build_tree(2_000, 41);
     let queries = clustered_queries(42);
-    let batch = par_knn_batch_ordered(
-        &tree,
-        &queries,
-        3,
-        NnOptions::default(),
-        &MbrRefiner,
-        8,
-        JoinOrder::Hilbert,
-    )
-    .unwrap();
+    let batch = knn_batch_ordered(&tree, &queries, 3, 8, JoinOrder::Hilbert);
     for (i, q) in queries.iter().enumerate() {
         let single = par_knn_batch(
             &tree,
@@ -140,15 +152,6 @@ fn as_given_order_is_the_default_behavior() {
     let tree = build_tree(1_000, 51);
     let queries = random_queries(64, 52);
     let default = par_knn_batch(&tree, &queries, 4, NnOptions::default(), &MbrRefiner, 4).unwrap();
-    let as_given = par_knn_batch_ordered(
-        &tree,
-        &queries,
-        4,
-        NnOptions::default(),
-        &MbrRefiner,
-        4,
-        JoinOrder::AsGiven,
-    )
-    .unwrap();
+    let as_given = knn_batch_ordered(&tree, &queries, 4, 4, JoinOrder::AsGiven);
     assert_eq!(dists(&default), dists(&as_given));
 }

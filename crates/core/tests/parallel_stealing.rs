@@ -3,7 +3,7 @@
 //! serialize behind that query's worker, and must return bit-identical
 //! results to the sequential run.
 
-use nnq_core::{par_knn_batch, par_knn_batch_stats, FnRefiner, NnOptions};
+use nnq_core::{par_knn_batch, par_mixed_batch_dedup, BatchQuery, FnRefiner, JoinOrder, NnOptions};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
@@ -74,8 +74,20 @@ fn stealing_spreads_an_imbalanced_batch() {
     let (tree, queries) = build(4_000);
     let refiner = imbalanced_refiner();
     let threads = 4;
-    let (_, stats) =
-        par_knn_batch_stats(&tree, &queries, 5, NnOptions::default(), &refiner, threads).unwrap();
+    let requests: Vec<BatchQuery<2>> = queries
+        .iter()
+        .map(|&q| BatchQuery::Knn { q, k: 5 })
+        .collect();
+    let (_, stats) = par_mixed_batch_dedup(
+        &tree,
+        &requests,
+        NnOptions::default(),
+        &refiner,
+        threads,
+        JoinOrder::AsGiven,
+        None,
+    )
+    .unwrap();
     assert_eq!(
         stats.per_worker_queries.iter().sum::<usize>(),
         queries.len()

@@ -63,7 +63,7 @@ pub use codec::{node_capacity, Meta, RawNode};
 pub use config::{RTreeConfig, SplitStrategy};
 pub use entry::{Entry, RecordId};
 pub use iter::WindowIter;
-pub use partition::{hilbert_split, PartitionManifest, PartitionMeta, PartitionedTree};
+pub use partition::{hilbert_split, Partition, PartitionManifest, PartitionMeta, PartitionedTree};
 pub use store::{BackendSignals, NodeCacheStats};
 pub use store::{MemStore, NodeStore, PagedStore};
 pub use tree::{MemRTree, NodeView, RTree, Snapshot, TreeAccess};

@@ -25,10 +25,10 @@ use crate::bulk::BulkMethod;
 use crate::config::RTreeConfig;
 use crate::entry::RecordId;
 use crate::store::{NodeStore, PagedStore};
-use crate::tree::RTree;
+use crate::tree::{NodeView, RTree, TreeAccess};
 use crate::{RTreeError, Result};
 use nnq_geom::{hilbert_key, Rect};
-use nnq_storage::{BufferPool, MemDisk, PoolStats, PAGE_SIZE};
+use nnq_storage::{BufferPool, MemDisk, PageId, PoolStats, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -150,7 +150,9 @@ impl<const D: usize> PartitionManifest<D> {
             .ok_or_else(|| bad("malformed bounds line"))?
             .split_whitespace();
         let bounds = parse_rect::<D>(&mut tokens)?;
-        let mut parts = Vec::with_capacity(count);
+        // `count` comes from the file: reserve for the part lines actually
+        // present, never for the claimed count.
+        let mut parts = Vec::with_capacity(count.min(lines.clone().count()));
         for _ in 0..count {
             let line = lines.next().ok_or_else(|| bad("truncated part list"))?;
             let mut tokens = line
@@ -241,9 +243,68 @@ pub fn hilbert_split<const D: usize>(
 /// scatter-gather search in `nnq-core` (`partitioned_knn` /
 /// `partitioned_radius`), which consults [`PartitionedTree::manifest`]
 /// to order and prune partitions by MINDIST to their MBRs.
+///
+/// The forest is read-only once built: the manifest MBRs are static, so
+/// a write into one partition could place a record outside the MBR that
+/// scatter-gather prunes by, and the search would miss it.
 pub struct PartitionedTree<const D: usize> {
-    parts: Vec<RTree<D, PagedStore<D>>>,
+    parts: Vec<Partition<D>>,
     manifest: PartitionManifest<D>,
+}
+
+/// Read-only view of one partition of a [`PartitionedTree`]: the
+/// [`TreeAccess`] read path plus the partition's pool and shape, and no
+/// write path.
+pub struct Partition<const D: usize>(RTree<D, PagedStore<D>>);
+
+impl<const D: usize> Partition<D> {
+    /// The partition's buffer pool (flush, stats).
+    pub fn pool(&self) -> &Arc<BufferPool> {
+        self.0.pool()
+    }
+
+    /// Height of the partition's tree (0 when empty).
+    pub fn height(&self) -> u32 {
+        self.0.height()
+    }
+}
+
+impl<const D: usize> TreeAccess<D> for Partition<D> {
+    fn access_root(&self) -> Option<PageId> {
+        self.0.access_root()
+    }
+
+    fn access_node(&self, page: PageId) -> Result<NodeView<D>> {
+        self.0.access_node(page)
+    }
+
+    fn num_records(&self) -> u64 {
+        self.0.num_records()
+    }
+
+    fn prefetch_node(&self, page: PageId) {
+        self.0.prefetch_node(page);
+    }
+
+    fn io_miss_rate(&self) -> f64 {
+        self.0.io_miss_rate()
+    }
+
+    fn io_reads(&self) -> u64 {
+        self.0.io_reads()
+    }
+
+    fn backend_signals(&self) -> crate::BackendSignals {
+        self.0.backend_signals()
+    }
+
+    fn set_cache_capacity(&self, cap: usize) -> usize {
+        self.0.set_cache_capacity(cap)
+    }
+
+    fn set_prefetch_workers(&self, n: usize) -> usize {
+        self.0.set_prefetch_workers(n)
+    }
 }
 
 impl<const D: usize> PartitionedTree<D> {
@@ -343,11 +404,32 @@ impl<const D: usize> PartitionedTree<D> {
                 )));
             }
         }
-        Ok(Self { parts, manifest })
+        Ok(Self {
+            parts: parts.into_iter().map(Partition).collect(),
+            manifest,
+        })
     }
 
-    /// The partition trees, in manifest (key-range) order.
-    pub fn partitions(&self) -> &[RTree<D, PagedStore<D>>] {
+    /// The partitions, in manifest (key-range) order, as read-only views.
+    ///
+    /// There is no write path through a partition: an insert could land
+    /// outside the partition's manifest MBR, which scatter-gather would
+    /// then prune by MINDIST and so miss the new record. This does not
+    /// compile:
+    ///
+    /// ```compile_fail,E0599
+    /// use nnq_geom::{Point, Rect};
+    /// use nnq_rtree::{BulkMethod, PartitionedTree, RTreeConfig, RecordId};
+    ///
+    /// let at = |i: u64| Rect::from_point(Point::new([(i % 64) as f64, (i / 64) as f64]));
+    /// let items = (0..4_000).map(|i| (at(i), RecordId(i))).collect();
+    /// let (config, method) = (RTreeConfig::default(), BulkMethod::Hilbert);
+    /// let tree = PartitionedTree::<2>::bulk_load_in_memory(items, 4, config, method, 1.0, 1024, 1)?;
+    /// let far = Rect::from_point(Point::new([-1e6, -1e6]));
+    /// tree.partitions()[3].insert(&far, RecordId(4_000))?;
+    /// # Ok::<(), nnq_rtree::RTreeError>(())
+    /// ```
+    pub fn partitions(&self) -> &[Partition<D>] {
         &self.parts
     }
 
@@ -363,7 +445,7 @@ impl<const D: usize> PartitionedTree<D> {
 
     /// Total number of data entries across all partitions.
     pub fn len(&self) -> u64 {
-        self.parts.iter().map(|t| t.len()).sum()
+        self.parts.iter().map(|t| t.0.len()).sum()
     }
 
     /// Whether every partition is empty.
@@ -372,14 +454,11 @@ impl<const D: usize> PartitionedTree<D> {
     }
 
     /// Composed commit version of the forest: the sum of every
-    /// partition's [`RTree::version`]. Each commit bumps exactly one
-    /// partition's version by one, so the sum is strictly monotonic
-    /// across commits anywhere in the forest — a root swap in any
-    /// partition changes the composed value, which is what makes it a
-    /// sound result-cache key for scatter-gather answers (they depend on
-    /// every partition's root).
+    /// partition's [`RTree::version`] — the result-cache key for
+    /// scatter-gather answers. The partitions are read-only, so it is
+    /// fixed for the forest's lifetime.
     pub fn version(&self) -> u64 {
-        self.parts.iter().map(|t| t.version()).sum()
+        self.parts.iter().map(|t| t.0.version()).sum()
     }
 
     /// Buffer-pool statistics summed over all partitions' pools; the
@@ -404,7 +483,7 @@ impl<const D: usize> PartitionedTree<D> {
     pub fn clear_caches(&self) -> Result<()> {
         for tree in &self.parts {
             tree.pool().clear_cache()?;
-            tree.store().clear_node_cache();
+            tree.0.store().clear_node_cache();
         }
         Ok(())
     }
@@ -414,7 +493,7 @@ impl<const D: usize> PartitionedTree<D> {
     pub fn partition_signals(&self) -> Vec<crate::BackendSignals> {
         self.parts
             .iter()
-            .map(|t| t.store().backend_signals())
+            .map(|t| t.0.store().backend_signals())
             .collect()
     }
 
@@ -464,7 +543,7 @@ impl<const D: usize> PartitionedTree<D> {
             caps
         };
         for (tree, &cap) in self.parts.iter().zip(&caps) {
-            tree.store().resize_node_cache(cap);
+            tree.0.store().resize_node_cache(cap);
         }
         caps
     }
@@ -484,9 +563,7 @@ impl<const D: usize> PartitionedTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeAccess;
     use nnq_geom::Point;
-    use nnq_storage::PageId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn points(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
@@ -608,7 +685,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(part.partition_count(), 1);
-        assert_eq!(structure(&single), structure(&part.partitions()[0]));
+        assert_eq!(structure(&single), structure(&part.partitions()[0].0));
     }
 
     #[test]
@@ -636,8 +713,8 @@ mod tests {
         .unwrap();
         assert_eq!(seq.manifest(), par.manifest());
         for (a, b) in seq.partitions().iter().zip(par.partitions()) {
-            assert_eq!(structure(a), structure(b));
-            a.validate().unwrap();
+            assert_eq!(structure(&a.0), structure(&b.0));
+            a.0.validate().unwrap();
         }
         assert_eq!(seq.len(), 3000);
     }
@@ -685,7 +762,7 @@ mod tests {
         assert!(part.is_empty());
         assert_eq!(part.partition_count(), 4);
         for tree in part.partitions() {
-            assert_eq!(tree.root(), PageId::INVALID);
+            assert_eq!(tree.0.root(), PageId::INVALID);
         }
     }
 
@@ -708,18 +785,18 @@ mod tests {
         assert_eq!(caps.iter().sum::<usize>(), 1000);
         assert!(caps.iter().all(|&c| c == 250));
         for (tree, &cap) in part.partitions().iter().zip(&caps) {
-            assert_eq!(tree.store().cache_stats().capacity, cap);
+            assert_eq!(tree.0.store().cache_stats().capacity, cap);
         }
 
         // Heat up partition 0 (warm: all hits after first pass) and leave
         // partition 3 cold-missing by clearing its frames between reads.
         part.reset_stats();
-        let p0 = &part.partitions()[0];
+        let p0 = &part.partitions()[0].0;
         let r0 = p0.access_root().unwrap();
         for _ in 0..64 {
             p0.read_node(r0).unwrap();
         }
-        let p3 = &part.partitions()[3];
+        let p3 = &part.partitions()[3].0;
         let r3 = p3.access_root().unwrap();
         for _ in 0..64 {
             p3.pool().clear_cache().unwrap();

@@ -34,13 +34,13 @@ use crate::protocol::{
     Hit, Request, Response, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, MAX_RESULT_HITS,
 };
 use nnq_core::{
-    hilbert_schedule, par_mixed_batch_dedup, partitioned_knn, partitioned_radius, BatchQuery,
-    CachedAnswer, JoinOrder, KernelMode, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache,
-    SearchStats, TuneController, TuneMode,
+    par_mixed_batch_dedup, partitioned_mixed_batch, BatchQuery, CachedAnswer, JoinOrder,
+    KernelMode, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache, SearchStats,
+    TuneController, TuneMode,
 };
 use nnq_geom::Point;
 use nnq_rtree::{PartitionedTree, RTree};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -585,8 +585,8 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 /// 1. **Pin a version.** Single tree: take the batch's snapshot and read
 ///    its commit version — probe, execution, and fill all share it, so a
 ///    cached hit is *exactly* the answer the snapshot would compute.
-///    Partitioned tree: read the composed version (there is no
-///    forest-wide snapshot).
+///    Partitioned tree: read the composed version, which cannot move
+///    because partitions have no write path.
 /// 2. **Probe.** Each request's canonical key (request id excluded — the
 ///    same query from any client hits) is looked up at that version;
 ///    hits are answered from the memoized `CachedAnswer`, replaying the
@@ -594,12 +594,10 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 ///    to fresh execution. Version-mismatched entries count as stale and
 ///    never serve.
 /// 3. **Execute misses, once per unique query.** The deduplicating
-///    executor merges identical requests within the batch.
-/// 4. **Fill.** Fresh answers are memoized at the pinned version — for
-///    the partitioned engine only if no commit moved the composed
-///    version during execution (without a snapshot, an interleaved write
-///    could have been half-visible; skipping the fill keeps the cache
-///    exact and costs only a future re-execution).
+///    executor merges identical requests within the batch, claims them in
+///    Hilbert order with the tuner's block override, and feeds its
+///    scheduling telemetry back to the tuner.
+/// 4. **Fill.** Fresh answers are memoized at the pinned version.
 /// 5. **Respond in admission order**, cache hits and fresh answers
 ///    alike. If execution failed, hit jobs still get their Ok responses;
 ///    only the jobs that needed the traversal get Errors.
@@ -673,6 +671,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
             Ok((Vec::new(), 0))
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (threads, block) = (config.threads, controller.block_override());
                 match engine {
                     Engine::Single(_) => {
                         let snap = snap.as_ref().expect("single engine pinned a snapshot");
@@ -681,25 +680,33 @@ fn batch_loop<R: Refiner<2> + Sync>(
                             &miss_reqs,
                             opts,
                             refiner,
-                            config.threads,
+                            threads,
                             JoinOrder::Hilbert,
-                            controller.block_override(),
-                        )
-                        .map(|(results, bstats)| {
-                            controller.observe_batch(&bstats);
-                            let saved = (miss_reqs.len() - bstats.executed) as u64;
-                            (results, saved)
-                        })
-                    }
-                    Engine::Partitioned(tree) => {
-                        run_partitioned_batch(tree, &miss_reqs, opts, refiner, config.threads).map(
-                            |(results, executed)| {
-                                let saved = (miss_reqs.len() - executed) as u64;
-                                (results, saved)
-                            },
+                            block,
                         )
                     }
+                    Engine::Partitioned(tree) => partitioned_mixed_batch(
+                        tree,
+                        &miss_reqs,
+                        opts,
+                        refiner,
+                        threads,
+                        true,
+                        JoinOrder::Hilbert,
+                        block,
+                    )
+                    .map(|(results, bstats)| {
+                        let answers = results
+                            .into_iter()
+                            .map(|(hits, pstats)| (hits, pstats.search))
+                            .collect();
+                        (answers, bstats)
+                    }),
                 }
+                .map(|(results, bstats)| {
+                    controller.observe_batch(&bstats);
+                    (results, (miss_reqs.len() - bstats.executed) as u64)
+                })
                 .map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|panic| Err(panic_message(&panic)))
@@ -742,22 +749,13 @@ fn batch_loop<R: Refiner<2> + Sync>(
         match outcome {
             Ok((results, saved)) => {
                 dedup_merged += saved;
-                // Fill gate: the single tree executed against the pinned
-                // snapshot, so its answers are valid at `version` by
-                // construction. The partitioned forest has no snapshot —
-                // memoize only if no commit moved the composed version
-                // while the batch ran.
-                let fill = cache.is_enabled()
-                    && match engine {
-                        Engine::Single(_) => true,
-                        Engine::Partitioned(tree) => tree.version() == version,
-                    };
-                // Within the batch, duplicates share one execution but
-                // need only one insert.
+                // Every answer was computed at `version`. Within the
+                // batch, duplicates share one execution but need only one
+                // insert.
                 let mut filled: HashSet<&[u8]> = HashSet::new();
                 for (&i, (hits, stats)) in miss_idx.iter().zip(results) {
                     let answer = CachedAnswer { hits, stats };
-                    if fill
+                    if cache.is_enabled()
                         && answer.hits.len() <= MAX_RESULT_HITS
                         && filled.insert(keys[i].as_slice())
                     {
@@ -814,100 +812,4 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("unknown panic");
     format!("query execution panicked: {what}")
-}
-
-/// Mixed batch over a partitioned tree: unique requests fan out over
-/// `threads` workers claiming from a shared cursor in Hilbert order, each
-/// request running its own sequential scatter-gather pass
-/// (partition-level parallelism would nest threads). Duplicate requests
-/// — same canonical key — execute once, like
-/// [`par_mixed_batch_dedup`] for the single tree; the second element of
-/// the return value is how many traversals actually ran. Deterministic
-/// per request, so results are bit-identical to a sequential loop that
-/// executed every duplicate.
-fn run_partitioned_batch<R: Refiner<2> + Sync>(
-    tree: &PartitionedTree<2>,
-    requests: &[BatchQuery<2>],
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-) -> nnq_core::Result<(AnswerList, usize)> {
-    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
-    let mut unique: Vec<BatchQuery<2>> = Vec::with_capacity(requests.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
-            unique.push(*req);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-
-    let points: Vec<Point<2>> = unique.iter().map(|r| *r.point()).collect();
-    let schedule = hilbert_schedule(&points);
-    let execute = |req: &BatchQuery<2>| -> nnq_core::Result<(Vec<Neighbor<2>>, SearchStats)> {
-        let (hits, pstats) = match *req {
-            BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, refiner, 1)?,
-            BatchQuery::Radius { q, radius } => {
-                partitioned_radius(tree, &q, radius, opts, refiner, 1)?
-            }
-        };
-        Ok((hits, pstats.search))
-    };
-    let mut results: Vec<(Vec<Neighbor<2>>, SearchStats)> =
-        vec![(Vec::new(), SearchStats::default()); unique.len()];
-    if threads == 1 || unique.len() == 1 {
-        for &i in &schedule {
-            results[i] = execute(&unique[i])?;
-        }
-        return Ok((fan_out(results, &slot_of), unique.len()));
-    }
-    let next = AtomicUsize::new(0);
-    type Out<'a> = nnq_core::Result<Vec<(usize, (Vec<Neighbor<2>>, SearchStats))>>;
-    let worker_outs: Vec<Out<'_>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                let execute = &execute;
-                let unique = &unique;
-                scope.spawn(move || -> Out<'_> {
-                    let mut out = Vec::new();
-                    loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        if at >= schedule.len() {
-                            break;
-                        }
-                        let i = schedule[at];
-                        out.push((i, execute(&unique[i])?));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for worker_out in worker_outs {
-        for (i, r) in worker_out? {
-            results[i] = r;
-        }
-    }
-    Ok((fan_out(results, &slot_of), unique.len()))
-}
-
-/// Expands per-unique-request results back to submission order.
-fn fan_out(
-    unique_results: Vec<(Vec<Neighbor<2>>, SearchStats)>,
-    slot_of: &[usize],
-) -> Vec<(Vec<Neighbor<2>>, SearchStats)> {
-    if unique_results.len() == slot_of.len() {
-        return unique_results;
-    }
-    slot_of
-        .iter()
-        .map(|&slot| unique_results[slot].clone())
-        .collect()
 }

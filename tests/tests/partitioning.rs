@@ -5,8 +5,8 @@
 //! *bit-identical* to the plain single tree, structure and counters both.
 
 use nnq_core::{
-    partitioned_knn, partitioned_knn_batch, partitioned_radius, within_radius_with, MbrRefiner,
-    Neighbor, NnOptions, NnSearch, PartitionedStats, QueryCursor,
+    partitioned_knn, partitioned_mixed_batch, partitioned_radius, within_radius_with, BatchQuery,
+    JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats, QueryCursor,
 };
 use nnq_geom::Rect;
 use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId};
@@ -216,16 +216,24 @@ fn partitioned_batch_sums_per_query_stats_and_is_thread_invariant() {
 
     for threads in [1, 2, 8] {
         tree.reset_stats();
-        let (results, totals) = partitioned_knn_batch(
+        let requests: Vec<BatchQuery<2>> =
+            queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
+        let (results, _) = partitioned_mixed_batch(
             &tree,
-            &queries,
-            k,
+            &requests,
             NnOptions::default(),
             &MbrRefiner,
             threads,
+            false,
+            JoinOrder::AsGiven,
+            None,
         )
         .unwrap();
-        let got: Vec<_> = results.iter().map(|r| key(r)).collect();
+        let got: Vec<_> = results.iter().map(|(r, _)| key(r)).collect();
+        let mut totals = PartitionedStats::default();
+        for (_, stats) in &results {
+            totals.accumulate(stats);
+        }
         assert_eq!(got, want_results, "threads={threads}");
         assert_eq!(totals, want_totals, "threads={threads}");
     }

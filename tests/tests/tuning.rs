@@ -9,7 +9,7 @@
 //! pages.
 
 use nnq_core::{
-    par_knn_batch_with_block, partitioned_knn_batch_with_block, JoinOrder, MbrRefiner, Neighbor,
+    par_mixed_batch_dedup, partitioned_mixed_batch, BatchQuery, JoinOrder, MbrRefiner, Neighbor,
     NnOptions, NnSearch, PartitionedStats, QueryCursor, SearchStats, TuneController, TuneMode,
 };
 use nnq_geom::{Point, Rect};
@@ -76,6 +76,10 @@ fn parted(p: usize) -> PartitionedTree<2> {
 }
 
 /// Bit-exact fingerprint of a result list.
+fn knn_requests(qs: &[Point<2>]) -> Vec<BatchQuery<2>> {
+    qs.iter().map(|&q| BatchQuery::Knn { q, k: K }).collect()
+}
+
 fn key(results: &[Neighbor<2>]) -> Vec<(u64, u64)> {
     results
         .iter()
@@ -126,10 +130,9 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
                 dists.push(key(&found));
             }
         } else {
-            let (results, bstats) = par_knn_batch_with_block(
+            let (results, bstats) = par_mixed_batch_dedup(
                 &tree,
-                chunk,
-                K,
+                &knn_requests(chunk),
                 opts,
                 &MbrRefiner,
                 threads,
@@ -138,7 +141,7 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
             )
             .unwrap();
             controller.observe_batch(&bstats);
-            dists.extend(results.iter().map(|r| key(r)));
+            dists.extend(results.iter().map(|(r, _)| key(r)));
         }
         if perturb {
             // External knob changes between chunks: shrink/grow the node
@@ -176,18 +179,22 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
                 .unwrap_or(nnq_core::PrefetchPolicy::Adaptive),
             ..NnOptions::default()
         };
-        let (results, ps) = partitioned_knn_batch_with_block(
+        let (results, bstats) = partitioned_mixed_batch(
             &tree,
-            chunk,
-            K,
+            &knn_requests(chunk),
             opts,
             &MbrRefiner,
             threads,
+            false,
+            JoinOrder::AsGiven,
             controller.block_override(),
         )
         .unwrap();
-        pstats.accumulate(&ps);
-        dists.extend(results.iter().map(|r| key(r)));
+        controller.observe_batch(&bstats);
+        for (r, ps) in &results {
+            pstats.accumulate(ps);
+            dists.push(key(r));
+        }
         if perturb {
             let budgets = [p * 64, p * 4096, p * 96];
             tree.rebalance_cache_budget(budgets[i % budgets.len()], 64);
