@@ -41,19 +41,7 @@ pub fn best_first_knn<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
     k: usize,
     refiner: &R,
 ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-    best_first_knn_with(tree, q, k, refiner, KernelMode::default())
-}
-
-/// [`best_first_knn`] with an explicit distance-kernel mode. Both modes
-/// produce bit-identical results and statistics.
-pub fn best_first_knn_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
-    tree: &T,
-    q: &Point<D>,
-    k: usize,
-    refiner: &R,
-    kernel: KernelMode,
-) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-    best_first_knn_opts(tree, q, k, refiner, NnOptions::with_kernel(kernel))
+    best_first_knn_opts(tree, q, k, refiner, NnOptions::default())
 }
 
 /// [`best_first_knn`] honoring the kernel and prefetch fields of `opts`

@@ -79,7 +79,7 @@ mod scatter;
 mod spatial_join;
 mod tune;
 
-pub use best_first::{best_first_knn, best_first_knn_opts, best_first_knn_with};
+pub use best_first::{best_first_knn, best_first_knn_opts};
 pub use branch_bound::{NnSearch, QueryCursor};
 pub use explain::{Decision, Trace, TraceEvent};
 pub use farthest::{farthest_knn, farthest_knn_with};

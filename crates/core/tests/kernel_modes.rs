@@ -5,7 +5,7 @@
 //! even if the returned neighbors happen to coincide.
 
 use nnq_core::{
-    best_first_knn_with, farthest_knn_with, intersection_join_with, within_radius_with,
+    best_first_knn_opts, farthest_knn_with, intersection_join_with, within_radius_with,
     AblOrdering, IncrementalNn, KernelMode, MbrRefiner, Neighbor, NnOptions, NnSearch,
 };
 use nnq_geom::{Point, Rect};
@@ -144,10 +144,12 @@ fn best_first_identical_across_kernels() {
     for _ in 0..20 {
         let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
         for k in [1usize, 9] {
-            let (ns, ss) =
-                best_first_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Scalar).unwrap();
-            let (nb, sb) =
-                best_first_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Batch).unwrap();
+            let run = |mode| {
+                best_first_knn_opts(&tree, &q, k, &MbrRefiner, NnOptions::with_kernel(mode))
+                    .unwrap()
+            };
+            let (ns, ss) = run(KernelMode::Scalar);
+            let (nb, sb) = run(KernelMode::Batch);
             assert_same_neighbors(&ns, &nb, "best-first");
             assert_eq!(ss, sb, "best-first stats");
         }
